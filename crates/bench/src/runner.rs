@@ -26,20 +26,43 @@ pub enum BenchScale {
     Paper,
 }
 
+/// An `NDPX_SCALE` value that names no [`BenchScale`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownScale(pub String);
+
+impl std::fmt::Display for UnknownScale {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let knob = ndpx_sim::knobs::SCALE.name;
+        write!(f, "{knob}={:?} is not a scale; expected test, small or paper", self.0)
+    }
+}
+
+impl std::error::Error for UnknownScale {}
+
 impl BenchScale {
-    /// Reads `NDPX_SCALE` (defaults to [`BenchScale::Small`]).
+    /// Reads `NDPX_SCALE` (unset means [`BenchScale::Small`]). An unknown
+    /// name prints the error once and exits the process with status 2.
     pub fn from_env() -> Self {
-        Self::parse(ndpx_sim::knobs::SCALE.raw().as_deref())
+        Self::parse(ndpx_sim::knobs::SCALE.raw().as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parses a scale name; `None` and unknown names map to the default
+    /// Parses a scale name exactly; `None` (unset) is the default
     /// ([`BenchScale::Small`]). Pure so tests need not touch the (process
     /// global, racy) environment.
-    pub fn parse(value: Option<&str>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownScale`] for any other name, including case or
+    /// whitespace variants of a valid one.
+    pub fn parse(value: Option<&str>) -> Result<Self, UnknownScale> {
         match value {
-            Some("test") => BenchScale::Test,
-            Some("paper") => BenchScale::Paper,
-            _ => BenchScale::Small,
+            None | Some("small") => Ok(BenchScale::Small),
+            Some("test") => Ok(BenchScale::Test),
+            Some("paper") => Ok(BenchScale::Paper),
+            Some(other) => Err(UnknownScale(other.to_string())),
         }
     }
 
@@ -321,11 +344,29 @@ mod tests {
     fn scale_parse_names() {
         // The pure parser is tested instead of `from_env`: mutating the
         // process environment races against parallel tests.
-        assert_eq!(BenchScale::parse(None), BenchScale::Small);
-        assert_eq!(BenchScale::parse(Some("test")), BenchScale::Test);
-        assert_eq!(BenchScale::parse(Some("small")), BenchScale::Small);
-        assert_eq!(BenchScale::parse(Some("paper")), BenchScale::Paper);
-        assert_eq!(BenchScale::parse(Some("bogus")), BenchScale::Small);
+        let table: &[(Option<&str>, Option<BenchScale>)] = &[
+            (None, Some(BenchScale::Small)),
+            (Some("test"), Some(BenchScale::Test)),
+            (Some("small"), Some(BenchScale::Small)),
+            (Some("paper"), Some(BenchScale::Paper)),
+            (Some("tset"), None),
+            (Some("Small "), None),
+            (Some("Test"), None),
+            (Some(" paper"), None),
+            (Some(""), None),
+            (Some("bogus"), None),
+        ];
+        for &(input, want) in table {
+            let got = BenchScale::parse(input);
+            match want {
+                Some(scale) => assert_eq!(got, Ok(scale), "{input:?}"),
+                None => {
+                    let err = got.expect_err(input.unwrap_or_default());
+                    assert_eq!(err, UnknownScale(input.unwrap_or_default().to_string()));
+                    assert!(err.to_string().contains("expected test, small or paper"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,12 +9,46 @@
 
 use crate::setassoc::{CacheStats, Outcome};
 
+/// One way of a filled set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    /// Key + 1; 0 = invalid.
+    tag: u64,
+    lru: u32,
+    dirty: bool,
+}
+
+/// Page-table entry: a page number and the slab offset of its first way.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    page: u64,
+    base: usize,
+}
+
+/// Marks a free bucket. Page numbers are set indices shifted right, so
+/// below `u64::MAX`, and no real page collides with it.
+const FREE: u64 = u64::MAX;
+
+/// Sets are stored in pages of about this many slots (whole sets, a power
+/// of two of them). A page is allocated on the first fill of any of its
+/// sets. Whole pages keep a busy array about as compact, and its lookups
+/// about as fast, as a dense one; untouched pages cost nothing.
+const PAGE_SLOTS: usize = 16;
+
+/// Buckets allocated on the first fill.
+const MIN_BUCKETS: usize = 8;
+
 /// A resizable tag array of `slots` entries grouped into sets of `ways`.
 ///
 /// Slot indices come from the placement layer. With `ways == 1` the array is
 /// direct-mapped (the paper's default for indirect streams); higher
 /// associativity groups consecutive slots into one set with LRU replacement
 /// (evaluated in Fig. 9a).
+///
+/// Storage is sparse: only pages of sets that have been filled hold memory,
+/// so a partition costs in proportion to its resident lines, not its
+/// capacity. An open-addressed table maps a page number to that page's
+/// ways in a slab.
 ///
 /// # Examples
 ///
@@ -32,10 +66,15 @@ use crate::setassoc::{CacheStats, Outcome};
 pub struct TagArray {
     ways: usize,
     sets: u64,
-    /// Key + 1 per physical slot; 0 = invalid.
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
-    lru: Vec<u32>,
+    /// log2 of the sets per page.
+    page_bits: u32,
+    /// Linear-probing table of allocated pages; empty or a power of two
+    /// long, at most half full.
+    index: Vec<Bucket>,
+    /// `64 - log2(index.len())`: Fibonacci hashing keeps the top bits.
+    shift: u32,
+    /// The ways of every allocated page, set-major, pages in fill order.
+    slab: Vec<Way>,
     tick: u32,
     stats: CacheStats,
 }
@@ -44,7 +83,8 @@ impl TagArray {
     /// Creates an array of `slots` entries at the given associativity.
     ///
     /// If `slots` is not a multiple of `ways` the remainder slots are
-    /// dropped (a partition loses at most `ways - 1` slots).
+    /// dropped (a partition loses at most `ways - 1` slots). Nothing is
+    /// allocated until the first fill.
     ///
     /// # Panics
     ///
@@ -55,13 +95,13 @@ impl TagArray {
         // a fully-associative array over the available slots.
         let ways = ways.min(slots.max(1) as usize);
         let sets = slots / ways as u64;
-        let n = (sets * ways as u64) as usize;
         TagArray {
             ways,
             sets,
-            tags: vec![0; n],
-            dirty: vec![false; n],
-            lru: vec![0; n],
+            page_bits: (PAGE_SLOTS / ways).max(1).ilog2(),
+            index: Vec::new(),
+            shift: 64,
+            slab: Vec::new(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -85,33 +125,32 @@ impl TagArray {
             return Outcome::Miss { evicted: None };
         }
         self.tick += 1;
-        let set = (slot % self.sets) as usize;
-        let base = set * self.ways;
+        let tick = self.tick;
+        let base = self.fill(slot % self.sets);
+        let set = &mut self.slab[base..base + self.ways];
 
-        for i in base..base + self.ways {
-            if self.tags[i] == key + 1 {
-                self.lru[i] = self.tick;
-                self.dirty[i] |= write;
-                self.stats.hits.inc();
-                return Outcome::Hit;
-            }
+        if let Some(w) = set.iter_mut().find(|w| w.tag == key + 1) {
+            w.lru = tick;
+            w.dirty |= write;
+            self.stats.hits.inc();
+            return Outcome::Hit;
         }
 
         self.stats.misses.inc();
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| if self.tags[i] == 0 { (0, 0) } else { (1, self.lru[i]) })
+        // Empty ways first, then least recently used; the first minimum wins.
+        let victim = set
+            .iter_mut()
+            .min_by_key(|w| if w.tag == 0 { (0, 0) } else { (1, w.lru) })
             .expect("ways >= 1");
-        let evicted = if self.tags[victim] != 0 {
-            if self.dirty[victim] {
+        let evicted = if victim.tag != 0 {
+            if victim.dirty {
                 self.stats.writebacks.inc();
             }
-            Some((self.tags[victim] - 1, self.dirty[victim]))
+            Some((victim.tag - 1, victim.dirty))
         } else {
             None
         };
-        self.tags[victim] = key + 1;
-        self.dirty[victim] = write;
-        self.lru[victim] = self.tick;
+        *victim = Way { tag: key + 1, lru: tick, dirty: write };
         Outcome::Miss { evicted }
     }
 
@@ -120,23 +159,22 @@ impl TagArray {
         if self.sets == 0 {
             return false;
         }
-        let base = (slot % self.sets) as usize * self.ways;
-        self.tags[base..base + self.ways].iter().any(|&t| t == key + 1)
+        self.find(slot % self.sets)
+            .is_some_and(|base| self.slab[base..base + self.ways].iter().any(|w| w.tag == key + 1))
     }
 
     /// Invalidates everything; returns `(valid, dirty)` counts.
+    ///
+    /// LRU stamps stay with their ways, so a later [`Self::install_if_free`]
+    /// (which does not stamp) inherits the previous occupant's.
     pub fn invalidate_all(&mut self) -> (u64, u64) {
         let mut valid = 0;
         let mut dirty = 0;
-        for i in 0..self.tags.len() {
-            if self.tags[i] != 0 {
-                valid += 1;
-                if self.dirty[i] {
-                    dirty += 1;
-                }
-            }
-            self.tags[i] = 0;
-            self.dirty[i] = false;
+        for w in self.slab.iter_mut().filter(|w| w.tag != 0) {
+            valid += 1;
+            dirty += u64::from(w.dirty);
+            w.tag = 0;
+            w.dirty = false;
         }
         (valid, dirty)
     }
@@ -146,28 +184,27 @@ impl TagArray {
     /// surviving lines). Returns how many keys were retained.
     pub fn adopt_from(&mut self, old: &TagArray, mut place: impl FnMut(u64) -> Option<u64>) -> u64 {
         let mut kept = 0;
-        for i in 0..old.tags.len() {
-            if old.tags[i] != 0 {
-                let key = old.tags[i] - 1;
-                if let Some(slot) = place(key) {
-                    if self.sets > 0 {
-                        let set = (slot % self.sets) as usize;
-                        let base = set * self.ways;
-                        if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
-                            self.tags[j] = key + 1;
-                            self.dirty[j] = old.dirty[i];
-                            kept += 1;
-                        }
-                    }
-                }
+        for (key, dirty) in old.entries() {
+            if place(key).is_some_and(|slot| self.install_if_free(slot, key, dirty)) {
+                kept += 1;
             }
         }
         kept
     }
 
-    /// Iterates over resident `(key, dirty)` entries.
+    /// Iterates over resident `(key, dirty)` entries in slot order: by set,
+    /// then by way.
     pub fn entries(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.tags.iter().zip(self.dirty.iter()).filter(|(&t, _)| t != 0).map(|(&t, &d)| (t - 1, d))
+        let mut pages: Vec<(u64, usize)> =
+            self.index.iter().filter(|b| b.page != FREE).map(|b| (b.page, b.base)).collect();
+        pages.sort_unstable();
+        let page_len = self.page_len();
+        pages.into_iter().flat_map(move |(_, base)| {
+            self.slab[base..base + page_len]
+                .iter()
+                .filter(|w| w.tag != 0)
+                .map(|w| (w.tag - 1, w.dirty))
+        })
     }
 
     /// Installs `key` at `slot` only if a free way exists (no eviction);
@@ -177,10 +214,10 @@ impl TagArray {
         if self.sets == 0 {
             return false;
         }
-        let base = (slot % self.sets) as usize * self.ways;
-        if let Some(j) = (base..base + self.ways).find(|&j| self.tags[j] == 0) {
-            self.tags[j] = key + 1;
-            self.dirty[j] = dirty;
+        let base = self.fill(slot % self.sets);
+        if let Some(w) = self.slab[base..base + self.ways].iter_mut().find(|w| w.tag == 0) {
+            w.tag = key + 1;
+            w.dirty = dirty;
             true
         } else {
             false
@@ -189,12 +226,93 @@ impl TagArray {
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> u64 {
-        self.tags.iter().filter(|&&t| t != 0).count() as u64
+        self.slab.iter().filter(|w| w.tag != 0).count() as u64
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Home bucket of `page`.
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Slab offset of `page`'s first way, if the page is allocated.
+    fn find_page(&self, page: u64) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut i = self.home(page);
+        loop {
+            let b = self.index[i];
+            if b.page == page {
+                return Some(b.base);
+            }
+            if b.page == FREE {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Ways per page.
+    fn page_len(&self) -> usize {
+        self.ways << self.page_bits
+    }
+
+    /// Offset of `set`'s first way within its page.
+    fn in_page(&self, set: u64) -> usize {
+        (set as usize & ((1 << self.page_bits) - 1)) * self.ways
+    }
+
+    /// Slab offset of `set`'s first way, if its page is allocated.
+    fn find(&self, set: u64) -> Option<usize> {
+        self.find_page(set >> self.page_bits).map(|base| base + self.in_page(set))
+    }
+
+    /// Slab offset of `set`'s first way, allocating its page (all ways
+    /// empty) on first use.
+    fn fill(&mut self, set: u64) -> usize {
+        let page = set >> self.page_bits;
+        let base = match self.find_page(page) {
+            Some(base) => base,
+            None => {
+                let page_len = self.page_len();
+                if (self.slab.len() / page_len + 1) * 2 > self.index.len() {
+                    self.grow();
+                }
+                let base = self.slab.len();
+                self.slab.resize(base + page_len, Way::default());
+                self.insert(Bucket { page, base });
+                base
+            }
+        };
+        base + self.in_page(set)
+    }
+
+    /// Doubles the page table (or allocates the first one) and re-inserts
+    /// every page.
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.index, vec![Bucket { page: FREE, base: 0 }; len]);
+        self.shift = 64 - len.trailing_zeros();
+        for b in old.into_iter().filter(|b| b.page != FREE) {
+            self.insert(b);
+        }
+    }
+
+    /// Places `b` in the first free bucket from its home; `b.page` must be
+    /// absent and the table not full.
+    fn insert(&mut self, b: Bucket) {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(b.page);
+        while self.index[i].page != FREE {
+            i = (i + 1) & mask;
+        }
+        self.index[i] = b;
     }
 }
 

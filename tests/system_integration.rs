@@ -131,3 +131,18 @@ fn epoch_boundaries_scale_with_interval() {
         rs.reconfigs
     );
 }
+
+#[test]
+fn paper_geometry_fits_in_memory() {
+    // Table II's 128 MiB per unit: tag arrays sized densely to capacity
+    // would need tens of GB for NDPExt's element-grain indirect streams.
+    // Sparse tag arrays cost only what a short run fills.
+    let cfg = SystemConfig::paper(MemKind::Hbm, PolicyKind::NdpExt);
+    let cache = cfg.units() as u64 * cfg.unit_capacity;
+    let p = ScaleParams { cores: cfg.units(), footprint: cache * 6 / 5, seed: 7 };
+    let wl = ndpx_workloads::build("recsys", &p).expect("known").expect("builds");
+    let r = NdpSystem::new(cfg, wl).expect("consistent").run(100);
+    assert_eq!(r.ops, 128 * 100);
+    assert!(r.sim_time > Time::ZERO);
+    assert!(r.cache_hits + r.cache_misses > 0, "no post-L1 stream accesses");
+}
