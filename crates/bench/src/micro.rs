@@ -4,9 +4,9 @@
 //! event-queue scheduling under both implementations ([`QueueImpl::Wheel`]
 //! and the reference [`QueueImpl::Heap`]), the miss-curve sampler's observe
 //! path, consistent-hash bucket-table construction, and power-law graph
-//! generation. Results land in `BENCH_PERF.json` under `"micro"` so a CI
-//! artifact records where a wall-clock regression came from without
-//! re-profiling the whole matrix.
+//! construction and edge generation. Results land in `BENCH_PERF.json`
+//! under `"micro"` so a CI artifact records where a wall-clock regression
+//! came from without re-profiling the whole matrix.
 //!
 //! These are wall-clock measurements, not digest-gated simulation: they
 //! exist to explain performance, never to define correctness.
@@ -162,19 +162,27 @@ fn bucket_table(iters: u64) -> MicroResult {
     })
 }
 
-/// Raw power-law graph generation (the inverse-CDF `powf` kernel the
-/// process-wide graph cache exists to amortize); measured per edge.
-fn graph_powerlaw() -> MicroResult {
+/// Power-law graph generation, measured per edge. Construction alone is the
+/// offsets pass (every degree drawn, the generator stepped past every
+/// edge); with `draw_edges` the timing also reads every vertex's
+/// neighbours, which draws each destination through the inverse-CDF `powf`
+/// kernel the process-wide graph cache exists to amortize.
+fn graph_powerlaw(name: &'static str, draw_edges: bool) -> MicroResult {
     let (vertices, avg_degree) = (20_000u32, 12u32);
-    let g = CsrGraph::powerlaw(vertices, avg_degree, 0x6EAF);
-    let edges = g.edge_count().max(1);
-    black_box(g.vertices());
+    let build = |seed| {
+        let g = CsrGraph::powerlaw(vertices, avg_degree, seed);
+        if draw_edges {
+            for v in 0..g.vertices() {
+                black_box(g.neighbours(v));
+            }
+        }
+        g.edge_count().max(1)
+    };
+    black_box(build(0x6EAF));
     let t0 = Instant::now();
-    let g2 = CsrGraph::powerlaw(vertices, avg_degree, 0x6EB0);
+    let edges = build(0x6EB0);
     let ns = t0.elapsed().as_nanos() as f64;
-    let edges2 = g2.edge_count().max(edges);
-    black_box(g2.vertices());
-    MicroResult { name: "powerlaw_edge_gen", iters: edges2, ns_per_iter: ns / edges2 as f64 }
+    MicroResult { name, iters: edges, ns_per_iter: ns / edges as f64 }
 }
 
 /// Runs the full micro-bench suite (a few hundred milliseconds).
@@ -188,7 +196,8 @@ pub fn run_all() -> Vec<MicroResult> {
         queue_churn(QueueImpl::Heap, "queue_heap_batch_churn", 1_000_000),
         sampler_observe(300_000),
         bucket_table(2_000),
-        graph_powerlaw(),
+        graph_powerlaw("powerlaw_graph_build", false),
+        graph_powerlaw("powerlaw_edge_gen", true),
     ]
 }
 

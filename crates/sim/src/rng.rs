@@ -170,8 +170,15 @@ impl PowerlawSampler {
     /// Draws one value; small indices are most likely.
     #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
-        // Inverse-CDF sampling of a Pareto-like distribution truncated to n.
-        let u = rng.next_f64();
+        self.quantile(rng.next_f64())
+    }
+
+    /// The value at uniform probability `u` in `[0, 1]`: inverse-CDF
+    /// sampling of a Pareto-like distribution truncated to `n`. `u = 0`
+    /// gives 0; values of `u` near 1 give the largest indices, clamped to
+    /// `n - 1`.
+    #[inline]
+    pub fn quantile(&self, u: f64) -> u64 {
         let x = (1.0 - u * self.trunc).powf(self.inv_exp);
         (x as u64).min(self.last)
     }
@@ -240,6 +247,27 @@ mod tests {
         let low = draws.iter().filter(|&&d| d < 10).count();
         // With alpha=2, ~90% of mass sits below index 10 for n=1000.
         assert!(low > 5_000, "power law not skewed: {low}");
+    }
+
+    #[test]
+    fn quantile_matches_the_inline_inverse_cdf() {
+        // The expression `Gather` evaluated per lookup before it held a
+        // sampler: hoisting the constants must not move a single bit.
+        let inline = |n: u64, alpha: f64, u: f64| {
+            let nf = n as f64;
+            let x = (1.0 - u * (1.0 - nf.powf(1.0 - alpha))).powf(1.0 / (1.0 - alpha));
+            (x as u64).min(n - 1)
+        };
+        let mut r = Xoshiro256::seed_from(0x0CDF);
+        let mut us = vec![0.0, 0.5, 1.0, 1.0 - f64::EPSILON, 1.0 - 1e-9, 1e-300];
+        us.extend((0..20_000).map(|_| r.next_f64()));
+        us.extend((0..2_000).map(|_| mix64(r.next_u64()) as f64 / u64::MAX as f64));
+        for (n, alpha) in [(1, 1.5), (100, 1.7), (10_000, 2.0), (3_728_270, 1.8), (1 << 40, 1.01)] {
+            let s = PowerlawSampler::new(n, alpha);
+            for &u in &us {
+                assert_eq!(s.quantile(u), inline(n, alpha, u), "n={n} alpha={alpha} u={u}");
+            }
+        }
     }
 
     #[test]

@@ -66,7 +66,11 @@ fn finish(
 /// Propagates stream-configuration failures (cannot happen for valid scale
 /// parameters).
 pub fn pagerank(p: &ScaleParams) -> Result<Workload, StreamError> {
-    let g = sized_graph(p, 16);
+    pagerank_on(sized_graph(p, 16), p)
+}
+
+/// [`pagerank`] over the graph `g`.
+fn pagerank_on(g: Arc<CsrGraph>, p: &ScaleParams) -> Result<Workload, StreamError> {
     let mut gs = graph_streams(&g)?;
     let v = u64::from(g.vertices());
     let (rank_a, _) = gs.space.alloc_indirect(v * 8, 8, Some(gs.edges))?;
@@ -227,6 +231,22 @@ mod tests {
 
     fn small() -> ScaleParams {
         ScaleParams { cores: 4, footprint: 4 << 20, seed: 1 }
+    }
+
+    #[test]
+    fn pagerank_trace_generates_only_the_blocks_it_reads() {
+        // The host-trace size: 3.7 M vertices, 48 M edges, 64 cores.
+        let p = ScaleParams { cores: 64, footprint: 256 << 20, seed: 0xBEEF };
+        let g = sized_graph(&p, 16);
+        let mut w = pagerank_on(Arc::clone(&g), &p).unwrap();
+        for core in 0..p.cores {
+            for _ in 0..4000 {
+                w.source.next_op(core);
+            }
+        }
+        let (filled, blocks) = g.filled_blocks();
+        assert!(filled >= p.cores, "every core reads its first block: {filled}");
+        assert!(filled * 20 < blocks, "{filled} of {blocks} blocks generated");
     }
 
     #[test]
